@@ -34,6 +34,9 @@
 #include <vector>
 
 namespace leapfrog {
+namespace parallel {
+class WorkerPool;
+} // namespace parallel
 namespace core {
 
 using logic::GuardedFormula;
@@ -68,8 +71,8 @@ struct CheckOptions {
   /// is missing degrades per query inside SmtLibSolver: the Backend knob
   /// can change performance and cross-checking, never verdicts. Ignored
   /// when Solver is set: an explicit instance is already a resolved
-  /// backend. Works with every engine, including Jobs > 1 (workers come
-  /// from SmtSolver::spawnWorker on the resolved backend — for external
+  /// backend. Works at every Jobs (workers come from
+  /// SmtSolver::spawnWorker on the resolved backend — for external
   /// backends, one solver process per worker). Long-lived callers should
   /// resolve once through core::Engine (core/Engine.h) instead of paying
   /// backend construction per call.
@@ -106,47 +109,40 @@ struct CheckOptions {
   /// backend falls back to monolithic queries. With Jobs > 1 the limits
   /// apply to every worker's sessions individually.
   smt::SessionLimits Limits;
-  /// Worker threads for the parallel frontier engine (parallel/): with
-  /// Jobs > 1, each frontier generation's entailment checks — mutually
-  /// independent once the premise set ⋀R is frozen — run concurrently on
-  /// Jobs workers, each owning an independent backend
+  /// Worker threads for the frontier windows (see Chunk): with Jobs > 1,
+  /// each window's entailment checks — mutually independent once the
+  /// premise set ⋀R is frozen at the window start — are first decided
+  /// concurrently on Jobs workers, each owning an independent backend
   /// (SmtSolver::spawnWorker) and one incremental session per template
-  /// pair; a sequential merge then replays the generation in frontier
-  /// order, which keeps every deterministic output (verdict, trace,
-  /// relation, certificate, all stats except SmtQueries and times)
-  /// bit-identical to Jobs == 1 for any job count or schedule. Jobs <= 1
-  /// is the classic single-threaded loop below. Falls back to the
-  /// sequential loop when the backend cannot spawn workers (custom
-  /// SmtSolver subclasses without spawnWorker). The parallel engine
-  /// always solves through per-worker sessions; UseIncremental selects
-  /// the lowering path of the sequential engine only.
+  /// pair; the in-order replay then re-decides only answers a same-guard
+  /// extension made stale. Every deterministic output (verdict, trace,
+  /// relation, certificate, all stats except SmtQueries and times) is
+  /// bit-identical to Jobs == 1 for any job count or schedule. Jobs <= 1,
+  /// or a backend that cannot spawn workers (custom SmtSolver subclasses
+  /// without spawnWorker), runs with zero workers: every entry is decided
+  /// at its replay turn by the one backend. Workers always solve through
+  /// sessions; UseIncremental selects the lowering path of replay-time
+  /// decisions only.
   size_t Jobs = 1;
-  /// Entailment-query batching: pop up to GoalBatch adjacent frontier
-  /// entries of one template pair and decide them against the same
-  /// frozen premise set in shared solver round-trips
-  /// (IncrementalSession::checkSatBatch) — per-goal answers are
-  /// recovered from the round's model or failed-assumption core, so
-  /// verdict, decision stream and certificate stay bit-identical to
-  /// GoalBatch == 1; only the physical round-trip count
-  /// (SolverStats::RoundTrips) drops. 1 (the default) is the classic
-  /// one-query-per-goal loop. Requires UseIncremental; ignored
-  /// otherwise. Batching degrades to per-goal solving under proof
-  /// capture (Certify), which needs one proof slice per goal.
+  /// Entailment-query batching: a replay-time decision also poses up to
+  /// GoalBatch - 1 upcoming unposed entries of the same template pair in
+  /// the window, against the same premise set, in shared solver
+  /// round-trips (IncrementalSession::checkSatBatch), while the guard's
+  /// last decision was a Skip; worker units hold up to GoalBatch
+  /// same-guard goals. Per-goal answers are recovered from the round's
+  /// model or failed-assumption core, so verdict, decision stream and
+  /// certificate stay bit-identical to GoalBatch == 1; only the physical
+  /// round-trip count (SolverStats::RoundTrips) and the posed-query count
+  /// change. 1 (the default) poses one query per goal. Requires
+  /// UseIncremental at zero workers; batching degrades to per-goal
+  /// solving under proof capture (Certify), which needs one proof slice
+  /// per goal.
   size_t GoalBatch = 1;
-  /// Pipelined epochs (Jobs > 1 only): start the next generation's
-  /// parallel decide phase while the current generation's sequential
-  /// merge drains, instead of idling every worker behind the merge
-  /// barrier. The merge re-derives the exact sequential Skip/Extend
-  /// stream (speculative entries whose same-pair premises grew since
-  /// their freeze point are re-queried — the same freeze protocol as the
-  /// barrier engine), so all deterministic outputs stay bit-identical to
-  /// Jobs == 1. Certification forces barrier mode: per-goal proof
-  /// streams are adopted in worker order at epoch boundaries, and
-  /// overlapped epochs would interleave them.
-  bool Pipeline = true;
-  /// Tasks per parallel epoch (0 = auto: max(32, Jobs * 8)). Exposed so
-  /// the scheduler-adversarial tests can perturb epoch boundaries —
-  /// every chunking must produce bit-identical results.
+  /// Frontier entries per window (0 = auto: max(32, Jobs * 8)). A window
+  /// is the unit of one parallel decide phase and the span in which
+  /// GoalBatch gathers same-guard goals. Exposed so the
+  /// scheduler-adversarial tests can perturb window boundaries — every
+  /// chunking must produce bit-identical decisions.
   size_t Chunk = 0;
   /// Record one TraceStep per loop iteration (costs memory on big runs).
   bool RecordTrace = false;
@@ -202,7 +198,7 @@ struct CheckResult {
   std::vector<TraceStep> Trace; ///< Populated iff RecordTrace.
   /// Per-goal DRUP slice streams recorded when Options.Certify was set:
   /// one stream per solver session (workers' streams concatenated in
-  /// worker order by the parallel engine) plus one-shot streams for
+  /// worker order when Jobs > 1) plus one-shot streams for
   /// monolithic queries. Together with Certificate this is what
   /// core/CertificateIo.h serializes for leapfrog-certcheck. Shared
   /// ownership because results are copied around by caches.
@@ -261,6 +257,47 @@ CheckResult checkLanguageEquivalence(const p4a::Automaton &Left,
                                      const std::string &QR,
                                      const CheckOptions &Options =
                                          CheckOptions());
+
+namespace detail {
+
+/// What a long-lived core::Engine keeps warm between checks at Jobs > 1:
+/// the per-worker backends (for external backends, each owns a live
+/// solver process) and the parked worker pool. checkWithSpec uses a
+/// fresh one per call. The worker solvers must all have been spawned
+/// from the primary backend of the checks that use this runtime; the
+/// engine repopulates them whenever their number disagrees with Jobs and
+/// resets each worker's statistics after absorbing them into the
+/// primary, so stats are never double-counted across calls. Not
+/// thread-safe: one check at a time.
+struct WarmRuntime {
+  std::vector<std::unique_ptr<smt::SmtSolver>> WorkerSolvers;
+  std::unique_ptr<parallel::WorkerPool> Pool;
+  WarmRuntime();
+  ~WarmRuntime();
+};
+
+/// Algorithm 1 — the only implementation. \p Options.Solver must be set
+/// (the resolved primary backend); Backend is ignored. checkWithSpec and
+/// core::Engine::check are thin wrappers that resolve the backend and
+/// supply the runtime.
+CheckResult runAlgorithm1(const p4a::Automaton &Left,
+                          const p4a::Automaton &Right,
+                          const InitialSpec &Spec, const CheckOptions &Options,
+                          WarmRuntime &Warm);
+
+/// Resolves a backend spec through smt::createSolverBackend — the one
+/// resolver behind checkWithSpec and core::Engine::create. With
+/// \p Certify, an "smtlib:<cmd>" spec becomes "crosscheck:<cmd>": an
+/// SMT-LIB process exposes no proof we could replay, but the
+/// cross-checking reference leg answers (and records slices for) every
+/// query the external solver is merely compared against. On failure
+/// returns nullptr with \p Error set to "unrecognized solver backend
+/// '<Spec>': <why>", quoting the spec as the caller typed it.
+std::unique_ptr<smt::SmtSolver> resolveBackend(const std::string &Spec,
+                                               bool Certify,
+                                               std::string &Error);
+
+} // namespace detail
 
 } // namespace core
 } // namespace leapfrog

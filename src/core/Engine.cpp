@@ -9,8 +9,6 @@
 
 #include "frontend/Elaborate.h"
 #include "frontend/Text.h"
-#include "parallel/ParallelChecker.h"
-#include "smt/SmtLibSolver.h"
 
 using namespace leapfrog;
 using namespace leapfrog::core;
@@ -99,7 +97,7 @@ struct Engine::Impl {
   smt::SmtSolver *Primary = nullptr;
   /// Per-worker backends + parked threads, populated on the first
   /// Jobs > 1 check and reused for the engine's lifetime.
-  parallel::WarmRuntime Warm;
+  detail::WarmRuntime Warm;
 };
 
 Engine::Engine() : I(std::make_unique<Impl>()) {}
@@ -115,17 +113,13 @@ std::unique_ptr<Engine> Engine::create(const EngineConfig &Config,
     E->I->Primary = Config.Solver;
     return E;
   }
-  std::string Spec = Config.Backend.empty() ? "bitblast" : Config.Backend;
-  // A certifying engine cannot run on a bare external backend (no proof
-  // capture there); resolve to the cross-checking pair instead, whose
-  // reference leg records the slices. Mirrors the checkWithSpec rewrite.
-  if (Config.Certify && Spec.rfind("smtlib:", 0) == 0)
-    Spec = "crosscheck:" + Spec.substr(std::string("smtlib:").size());
   std::string Err;
-  E->I->OwnedPrimary = smt::createSolverBackend(Spec, &Err);
+  E->I->OwnedPrimary = detail::resolveBackend(
+      Config.Backend.empty() ? "bitblast" : Config.Backend, Config.Certify,
+      Err);
   if (!E->I->OwnedPrimary) {
     if (Error)
-      *Error = "unrecognized solver backend '" + Spec + "': " + Err;
+      *Error = Err;
     return nullptr;
   }
   E->I->Primary = E->I->OwnedPrimary.get();
@@ -143,9 +137,7 @@ CheckResult Engine::check(const p4a::Automaton &Left,
   O.Backend.clear();
   O.Jobs = I->Config.Jobs;
   O.Certify = Options.Certify || I->Config.Certify;
-  if (O.Jobs > 1)
-    return parallel::checkWithSpecParallel(Left, Right, Spec, O, &I->Warm);
-  return core::checkWithSpec(Left, Right, Spec, O);
+  return detail::runAlgorithm1(Left, Right, Spec, O, I->Warm);
 }
 
 CheckResult Engine::check(const CheckRequest &Req) {

@@ -25,9 +25,9 @@
 /// CheckRequest; engine-level fields of CheckOptions (Solver, Backend,
 /// Jobs) are ignored by Engine::check, which substitutes its own.
 ///
-/// Layering: Engine sits above Checker.h (it dispatches to the same
-/// sequential loop and parallel frontier engine, so verdicts, stats,
-/// traces and certificates are bit-identical to the free functions) and
+/// Layering: Engine sits above Checker.h (it runs the same Algorithm-1
+/// engine and backend resolver, so verdicts, stats, traces and
+/// certificates are bit-identical to the free functions) and
 /// below serve/ (which adds the result cache, admission control and the
 /// wire protocol on top).
 ///
@@ -118,7 +118,8 @@ struct EngineConfig {
   bool Certify = false;
   /// Worker threads for every check run on this engine (the
   /// CheckOptions::Jobs of old, hoisted to the engine where the warm
-  /// per-worker backends live). 1 = the sequential loop.
+  /// per-worker backends live). 1 = zero workers: every query goes to the
+  /// primary backend.
   size_t Jobs = 1;
 };
 

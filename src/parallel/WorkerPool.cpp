@@ -22,9 +22,6 @@ WorkerPool::WorkerPool(size_t Workers) {
 }
 
 WorkerPool::~WorkerPool() {
-  // A launched-but-unwaited epoch (an early return out of the pipelined
-  // merge) must drain before teardown — its tasks reference caller state.
-  wait();
   {
     std::lock_guard<std::mutex> Lock(M);
     Stop = true;
@@ -37,7 +34,6 @@ WorkerPool::~WorkerPool() {
 void WorkerPool::runEpoch(size_t NumTasks, const TaskFn &TaskBody) {
   if (NumTasks == 0)
     return;
-  assert(!Launched && "epoch already in flight");
   // Deal contiguous blocks: worker W owns [W*N/P, (W+1)*N/P). No worker
   // is running here — the previous epoch's barrier completed — so the
   // deques are safe to fill without observing steals.
@@ -48,21 +44,13 @@ void WorkerPool::runEpoch(size_t NumTasks, const TaskFn &TaskBody) {
       Deques[W].push(T);
   }
   Fn = TaskBody;
-  postSeededEpoch();
-  wait();
+  postSeededEpochAndWait();
 }
 
 void WorkerPool::runEpoch(const std::vector<std::vector<size_t>> &Assigned,
                           const TaskFn &TaskBody) {
-  launchEpoch(Assigned, TaskBody);
-  wait();
-}
-
-void WorkerPool::launchEpoch(const std::vector<std::vector<size_t>> &Assigned,
-                             TaskFn TaskBody) {
   assert(Assigned.size() == Threads.size() &&
          "one task list per worker (may be empty)");
-  assert(!Launched && "epoch already in flight");
   size_t Total = 0;
   for (size_t W = 0; W < Assigned.size() && W < Threads.size(); ++W) {
     Total += Assigned[W].size();
@@ -71,40 +59,23 @@ void WorkerPool::launchEpoch(const std::vector<std::vector<size_t>> &Assigned,
   }
   if (Total == 0)
     return;
-  Fn = std::move(TaskBody);
-  postSeededEpoch();
+  Fn = TaskBody;
+  postSeededEpochAndWait();
 }
 
-void WorkerPool::postSeededEpoch() {
+void WorkerPool::postSeededEpochAndWait() {
   {
     std::lock_guard<std::mutex> Lock(M);
     assert(DoneCount == Threads.size() || Epoch == 0);
     DoneCount = 0;
     ++Epoch;
-    Launched = true;
   }
   CvStart.notify_all();
-}
-
-bool WorkerPool::epochInFlight() {
-  std::lock_guard<std::mutex> Lock(M);
-  return Launched && DoneCount != Threads.size();
-}
-
-void WorkerPool::wait() {
   {
     std::unique_lock<std::mutex> Lock(M);
-    if (!Launched)
-      return;
     CvDone.wait(Lock, [&] { return DoneCount == Threads.size(); });
-    Launched = false;
   }
   Fn = nullptr;
-}
-
-std::chrono::steady_clock::time_point WorkerPool::lastEpochEnd() {
-  std::lock_guard<std::mutex> Lock(M);
-  return EpochEnd;
 }
 
 void WorkerPool::workerMain(size_t Id) {
@@ -120,10 +91,8 @@ void WorkerPool::workerMain(size_t Id) {
     runTasks(Id);
     {
       std::lock_guard<std::mutex> Lock(M);
-      if (++DoneCount == Threads.size()) {
-        EpochEnd = std::chrono::steady_clock::now();
+      if (++DoneCount == Threads.size())
         CvDone.notify_one();
-      }
     }
   }
 }

@@ -9,17 +9,14 @@
 /// A fixed pool of worker threads driven in *epochs*: the caller hands the
 /// pool a batch of tasks, every worker drains its own work-stealing deque
 /// (stealing from siblings when it runs dry), and runEpoch() returns only
-/// when the whole batch is done — the barrier the parallel frontier engine
-/// synchronizes premise generations on. Tasks within an epoch must be
+/// when the whole batch is done — the barrier each parallel decide phase
+/// of the checker (core/Checker.cpp) ends on. Tasks within an epoch must be
 /// mutually independent and must not enqueue further tasks; new work is
 /// what the *next* epoch is for.
 ///
-/// Epochs may also be launched asynchronously (launchEpoch/wait): the
-/// caller seeds the next epoch and keeps running — the skip-ahead merge of
-/// the parallel engine, which decides generation N+1 while it drains
-/// generation N's merge. At most one epoch is in flight at a time; the
-/// launch handshake (the pool mutex) is the synchronizes-with edge that
-/// publishes everything the caller wrote before launching to every worker.
+/// The start handshake (the pool mutex) is the synchronizes-with edge
+/// that publishes everything the caller wrote before runEpoch() to every
+/// worker; the completion handshake publishes the workers' writes back.
 ///
 /// Threads are created once and parked between epochs, so per-epoch cost
 /// is two condition-variable handshakes, not thread churn. WorkerId is a
@@ -34,7 +31,6 @@
 
 #include "parallel/WorkStealingDeque.h"
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -55,7 +51,7 @@ public:
   /// Spawns \p Workers threads (at least one), parked until runEpoch().
   explicit WorkerPool(size_t Workers);
 
-  /// Joins all workers. Must not be called while an epoch is running.
+  /// Joins all workers.
   ~WorkerPool();
 
   size_t workers() const { return Threads.size(); }
@@ -77,29 +73,10 @@ public:
   void runEpoch(const std::vector<std::vector<size_t>> &Assigned,
                 const TaskFn &Fn);
 
-  /// Asynchronous epoch: seeds the deques from \p Assigned, posts the
-  /// epoch, and returns while the workers run. The pool keeps an owned
-  /// copy of \p Fn alive until wait(); everything \p Fn captures by
-  /// reference must outlive the epoch. Precondition: no epoch in flight
-  /// (wait() first). A launch with zero total tasks is a no-op.
-  void launchEpoch(const std::vector<std::vector<size_t>> &Assigned,
-                   TaskFn Fn);
-
-  /// Blocks until the launched epoch drains; no-op when none is in
-  /// flight. Only after wait() returns may the caller launch again, read
-  /// task results, or touch worker-owned state.
-  bool epochInFlight();
-  void wait();
-
-  /// Steady-clock stamp recorded by the last worker of the most recently
-  /// completed epoch — the overlap metric of the pipelined merge compares
-  /// it against the merge interval. Meaningful only after at least one
-  /// epoch completed.
-  std::chrono::steady_clock::time_point lastEpochEnd();
-
 private:
-  /// Posts the epoch (deques already seeded); Fn was already stored.
-  void postSeededEpoch();
+  /// Posts the epoch (deques already seeded, Fn stored) and blocks until
+  /// every worker has drained it.
+  void postSeededEpochAndWait();
   void workerMain(size_t Id);
   /// Drains this worker's deque, then steals from siblings; returns when
   /// every deque has been observed empty (tasks never spawn tasks, so an
@@ -117,9 +94,7 @@ private:
   TaskFn Fn;                       ///< Owned for the duration of an epoch.
   uint64_t Epoch = 0;
   size_t DoneCount = 0;
-  bool Launched = false; ///< Epoch posted and not yet wait()ed out.
   bool Stop = false;
-  std::chrono::steady_clock::time_point EpochEnd{};
 };
 
 } // namespace parallel

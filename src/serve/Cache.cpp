@@ -32,7 +32,6 @@ CacheKey serve::makeCacheKey(const core::CheckRequest &Req) {
   Canonical += ";trace=" + std::to_string(O.RecordTrace ? 1 : 0);
   // Schedule knobs: verdict-identical by construction, but GoalBatch
   // changes SmtQueries and the cache promises bit-identical stats.
-  Canonical += ";pipeline=" + std::to_string(O.Pipeline ? 1 : 0);
   Canonical += ";goal_batch=" + std::to_string(O.GoalBatch);
   Canonical += ";chunk=" + std::to_string(O.Chunk);
   Canonical += "\n";

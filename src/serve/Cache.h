@@ -38,8 +38,8 @@
 /// MaxWallMicros — a ResourceLimit under a small budget says nothing
 /// about a larger one), UseIncremental and the session Limits (answers
 /// are identical by contract, but stats are not, and the cache promises
-/// bit-identical stats), RecordTrace, and the schedule knobs (Pipeline,
-/// GoalBatch, Chunk — verdict-identical by construction, but GoalBatch
+/// bit-identical stats), RecordTrace, and the schedule knobs (GoalBatch,
+/// Chunk — verdict-identical by construction, but GoalBatch
 /// folds adjacent goals into shared solver calls and so shifts the
 /// SmtQueries stat). Excluded: Jobs (the parallel
 /// engine is bit-identical to sequential by construction — that is PR 4's

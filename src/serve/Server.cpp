@@ -105,7 +105,6 @@ bool decodeOptions(const Json &J, core::CheckOptions &O, std::string &Err) {
       size_t(J.getUnsigned("max_learnts", O.Limits.MaxLearnts));
   O.Limits.MaxArenaBytes =
       size_t(J.getUnsigned("max_arena_bytes", O.Limits.MaxArenaBytes));
-  O.Pipeline = J.getBool("pipeline", O.Pipeline);
   O.GoalBatch = size_t(J.getUnsigned("goal_batch", O.GoalBatch));
   if (O.GoalBatch < 1)
     O.GoalBatch = 1;

@@ -654,6 +654,8 @@ TEST(CertStream, AcceptanceSweepCorpusPairs) {
        0},
       {"quic_varint vs bug", "quic_varint.lfp", "quic_varint_bug.lfp", false,
        0},
+      {"tlv_fanin vs opt", "tlv_fanin.lfp", "tlv_fanin_opt.lfp", false, 0},
+      {"tlv_fanin vs bug", "tlv_fanin.lfp", "tlv_fanin_bug.lfp", false, 0},
   };
 
   size_t Equivalents = 0;

@@ -124,15 +124,11 @@ struct CertifiedRun {
 
 /// One certified engine check; serializes the certificate on Equivalent so
 /// bit-identity is pinned over the full artifact, proof log included.
-/// Certify = false runs the same check without proof capture — the only
-/// mode in which the parallel engine pipelines (capture forces the
-/// barrier), so the pipelined-knob test needs it.
-CertifiedRun runCertified(const CheckRequest &Req, size_t Jobs,
-                          bool Certify = true) {
+CertifiedRun runCertified(const CheckRequest &Req, size_t Jobs) {
   EngineConfig Cfg;
   Cfg.Backend = "bitblast";
   Cfg.Jobs = Jobs;
-  Cfg.Certify = Certify;
+  Cfg.Certify = true;
   std::string Err;
   std::unique_ptr<Engine> E = Engine::create(Cfg, &Err);
   EXPECT_NE(E, nullptr) << Err;
@@ -140,7 +136,7 @@ CertifiedRun runCertified(const CheckRequest &Req, size_t Jobs,
   if (!E)
     return Run;
   Run.Res = E->check(Req);
-  if (Certify && Run.Res.V == Verdict::Equivalent) {
+  if (Run.Res.V == Verdict::Equivalent) {
     EXPECT_NE(Run.Res.Proof, nullptr);
     Run.CertText = serializeCertificate(Req.Left, Req.Right,
                                         Run.Res.Certificate,
@@ -279,13 +275,13 @@ TEST(Observability, TracingIsPassiveAcrossRegistryStudies) {
 }
 
 // Passivity at the scheduling knobs the trace exists to explain: the
-// pipelined merge (epoch.wait/epoch.merge spans) and the batched
-// entailment window (solver.batch spans) run extra instrumentation on
-// their hot paths, so each gets its own traced-vs-untraced pin rather
-// than inheriting the default-knob test above. Small chunks force many
-// epochs (maximum span traffic); GoalBatch = 8 exercises the windowed
-// session sharing.
-TEST(Observability, TracingIsPassiveAtPipelinedBatchedKnobs) {
+// parallel window replay (epoch.parallel/epoch.merge spans) and the
+// batched entailment window (solver.batch spans) run extra
+// instrumentation on their hot paths, so they get their own
+// traced-vs-untraced pin rather than inheriting the default-knob test
+// above. Small chunks force many windows (maximum span traffic);
+// GoalBatch = 8 exercises the windowed session sharing.
+TEST(Observability, TracingIsPassiveAtBatchedWindowKnobs) {
   obs::TraceSink Sink;
   for (const parsers::CaseStudy &Study : parsers::allCaseStudies()) {
     // The cheap registry rows only: this test is about knob coverage,
@@ -299,32 +295,25 @@ TEST(Observability, TracingIsPassiveAtPipelinedBatchedKnobs) {
     Options.RecordTrace = true;
     Options.GoalBatch = 8;
     Options.Chunk = 8;
-    EXPECT_TRUE(Options.Pipeline); // pipelining is the default
     CheckRequest Req = registryRequest(Study, Options);
 
-    // Certified legs run the barrier scheduler (proof capture forces
-    // it); the uncertified pair is the one that actually pipelines.
     CertifiedRun Baseline = runCertified(Req, 1);
-    CertifiedRun Plain = runCertified(Req, 1, /*Certify=*/false);
     {
       SinkGuard Guard(&Sink);
       CertifiedRun Traced1 = runCertified(Req, 1);
       expectDecisionIdentical(Study.Name + " batched jobs=1", Baseline,
                               Traced1, /*Sequential=*/true);
       CertifiedRun Traced2 = runCertified(Req, 2);
-      expectDecisionIdentical(Study.Name + " batched barrier jobs=2",
-                              Baseline, Traced2, /*Sequential=*/false);
-      CertifiedRun TracedP = runCertified(Req, 2, /*Certify=*/false);
-      expectDecisionIdentical(Study.Name + " pipelined+batched jobs=2",
-                              Plain, TracedP, /*Sequential=*/false);
+      expectDecisionIdentical(Study.Name + " batched jobs=2", Baseline,
+                              Traced2, /*Sequential=*/false);
     }
   }
   ASSERT_GT(Sink.eventCount(), 0u);
 
-  // The pipelined epochs must actually have hit the trace (the spans
-  // leapfrog-trace's pipelining report reads), and the accumulated file
+  // The parallel windows must actually have hit the trace (the spans
+  // leapfrog-trace's merge-share report reads), and the accumulated file
   // must stay structurally valid.
-  std::string Path = ::testing::TempDir() + "obs_pipelined_trace.json";
+  std::string Path = ::testing::TempDir() + "obs_window_trace.json";
   std::string Err;
   ASSERT_TRUE(Sink.writeChromeJson(Path, &Err)) << Err;
   std::ifstream In(Path, std::ios::binary);
@@ -332,16 +321,11 @@ TEST(Observability, TracingIsPassiveAtPipelinedBatchedKnobs) {
   std::ostringstream Ss;
   Ss << In.rdbuf();
   serve::Json Doc = parseBalancedTrace(Ss.str());
-  size_t WaitSpans = 0, MergeSpans = 0;
+  size_t MergeSpans = 0;
   for (const serve::Json &E : Doc.get("traceEvents").items()) {
-    if (E.getString("ph") != "B")
-      continue;
-    if (E.getString("name") == "epoch.wait")
-      ++WaitSpans;
-    else if (E.getString("name") == "epoch.merge")
+    if (E.getString("ph") == "B" && E.getString("name") == "epoch.merge")
       ++MergeSpans;
   }
-  EXPECT_GT(WaitSpans, 0u);
   EXPECT_GT(MergeSpans, 0u);
   std::remove(Path.c_str());
 }

@@ -7,7 +7,7 @@
 //
 // The parallel engine's one promise is exactness: for any job count and
 // any schedule it takes the same Skip/Extend decisions, builds the same
-// relation, and returns the same verdict as the sequential loop. The
+// relation, and returns the same verdict as the zero-worker jobs=1 run. The
 // battery here locks that in three ways:
 //
 //   - a parallel-vs-sequential differential over every registry study at
@@ -247,9 +247,9 @@ TEST(ParallelChecker, RepeatedRunsAreIdentical) {
   expectIdenticalDecisions(Study.Name.c_str(), A, B);
 }
 
-/// A backend that cannot spawn workers: Jobs > 1 must silently fall back
-/// to the sequential loop (which poses every query to this instance)
-/// rather than crash or ignore the custom backend.
+/// A backend that cannot spawn workers: Jobs > 1 must run with zero
+/// workers (posing every query to this instance) rather than crash or
+/// ignore the custom backend.
 class NoSpawnSolver : public smt::SmtSolver {
 public:
   smt::SatResult checkSat(const smt::BvFormulaRef &F,
@@ -281,7 +281,7 @@ TEST(ParallelChecker, BackendWithoutWorkersFallsBackToSequential) {
   // The custom backend answered the queries itself — the fallback did
   // not quietly swap in internal BitBlastSolvers. (Its own Queries
   // counter stays zero because checkSat delegates, but the sessions the
-  // sequential loop opened on it are its.)
+  // engine opened on it are its.)
   EXPECT_GT(Custom.stats().SessionQueries, 0u);
 }
 

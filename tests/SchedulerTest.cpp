@@ -1,29 +1,23 @@
-//===- SchedulerTest.cpp - Scheduler-adversarial pipelining battery -------===//
+//===- SchedulerTest.cpp - Scheduler-adversarial window battery ----------===//
 //
 // Part of leapfrog-cc, a C++ reproduction of "Leapfrog: Certified Equivalence
 // for Protocol Parsers" (PLDI 2022).
 //
 //===----------------------------------------------------------------------===//
 //
-// The pipelined engine makes three promises the barrier engine never had
-// to: (1) a generation's merge re-derives the exact sequential decision
-// stream while the *next* generation is already being decided against a
-// frozen premise prefix; (2) entailment-query batching folds adjacent
-// same-template-pair goals into shared solver round-trips without moving
-// a single decision; (3) every schedule knob (Jobs, Pipeline, Chunk,
-// GoalBatch) is performance-only. This battery attacks those promises:
+// The windowed engine makes two promises on top of Algorithm 1: (1)
+// entailment-query batching folds adjacent same-template-pair goals into
+// shared solver round-trips without moving a single decision; (2) every
+// schedule knob (Jobs, Chunk, GoalBatch) is performance-only. This
+// battery attacks those promises:
 //
-//  - a pipelined-vs-sequential differential over every registry study
+//  - a schedule-vs-sequential differential over every registry study
 //    AND every corpus pair at jobs ∈ {2, 4}, comparing verdict, failure
 //    text, stats, the full decision stream, the relation conjunct by
 //    conjunct, and the *serialized certificate bytes* (relation
 //    certificates are schedule-independent by construction; proof-slice
 //    streams at jobs ≥ 2 are legitimately schedule-dependent and are
 //    serialized separately, so they are not compared here);
-//
-//  - a throttled-worker run that provably overlaps merge and decide —
-//    and pins that the parallel.overlap_micros counter sees it while
-//    barrier mode records the same work as pure stall;
 //
 //  - batched-vs-unbatched differentials pinning that RoundTrips (the
 //    physical solve-call counter) strictly drops while every decision
@@ -41,21 +35,17 @@
 #include "core/FrontierKey.h"
 #include "frontend/Elaborate.h"
 #include "frontend/Text.h"
-#include "obs/Metrics.h"
 #include "parsers/CaseStudies.h"
 #include "smt/SmtLibSolver.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace leapfrog;
@@ -76,7 +66,7 @@ std::string traceKey(const TraceStep &T) {
 }
 
 /// Everything that must be bit-identical across schedules. SmtQueries and
-/// the times are deliberately absent: batching and pipelining change how
+/// the times are deliberately absent: batching and parallel windows change how
 /// many physical queries answer the same decisions.
 void expectIdenticalDecisions(const std::string &Name, const CheckResult &A,
                               const CheckResult &B) {
@@ -114,7 +104,6 @@ std::string certBytes(const p4a::Automaton &L, const p4a::Automaton &R,
 
 struct RunConfig {
   size_t Jobs = 1;
-  bool Pipeline = true;
   size_t Chunk = 0;
   size_t GoalBatch = 1;
   size_t MaxIterations = 300;
@@ -127,7 +116,6 @@ CheckResult runPair(const p4a::Automaton &L, const std::string &LS,
   O.MaxIterations = C.MaxIterations;
   O.Solver = &Solver;
   O.Jobs = C.Jobs;
-  O.Pipeline = C.Pipeline;
   O.Chunk = C.Chunk;
   O.GoalBatch = C.GoalBatch;
   O.RecordTrace = true;
@@ -140,7 +128,7 @@ CheckResult runStudy(const parsers::CaseStudy &S, smt::SmtSolver &Solver,
 }
 
 //===----------------------------------------------------------------------===//
-// Registry differential: pipelined, barrier, batched — all vs sequential
+// Registry differential: parallel, chunked, batched — all vs sequential
 //===----------------------------------------------------------------------===//
 
 class PipelinedDifferential : public ::testing::TestWithParam<size_t> {};
@@ -161,11 +149,10 @@ TEST_P(PipelinedDifferential, SchedulesMatchSequential) {
     const char *Tag;
     RunConfig C;
   } Variants[] = {
-      {"jobs=2 pipelined", {2, true, 0, 1, 300}},
-      {"jobs=4 pipelined", {4, true, 0, 1, 300}},
-      {"jobs=2 barrier", {2, false, 0, 1, 300}},
-      {"jobs=2 pipelined chunk=3", {2, true, 3, 1, 300}},
-      {"jobs=2 pipelined goal-batch=8", {2, true, 0, 8, 300}},
+      {"jobs=2", {2, 0, 1, 300}},
+      {"jobs=4", {4, 0, 1, 300}},
+      {"jobs=2 chunk=3", {2, 3, 1, 300}},
+      {"jobs=2 goal-batch=8", {2, 0, 8, 300}},
   };
   for (const Variant &V : Variants) {
     SCOPED_TRACE(V.Tag);
@@ -183,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(Registry, PipelinedDifferential,
                          ::testing::Range<size_t>(0, 10));
 
 //===----------------------------------------------------------------------===//
-// Corpus differential: every .lfp pair through the pipelined schedules
+// Corpus differential: every .lfp pair through the parallel schedules
 //===----------------------------------------------------------------------===//
 
 std::string corpusDir() {
@@ -275,7 +262,7 @@ TEST_P(CorpusScheduling, PipelinedMatchesSequential) {
     C.Jobs = Jobs;
     C.MaxIterations = P.MaxIterations;
     // Batch on the wider run so the corpus also exercises the parallel
-    // unit-batching path, not just the plain pipelined one.
+    // unit-batching path, not just the plain parallel one.
     C.GoalBatch = Jobs == 4 ? 4 : 1;
     smt::BitBlastSolver Solver;
     CheckResult Res = runPair(L.Aut, L.Entry, R.Aut, R.Entry, Solver, C);
@@ -292,123 +279,6 @@ INSTANTIATE_TEST_SUITE_P(Corpus, CorpusScheduling,
                          [](const ::testing::TestParamInfo<size_t> &Info) {
                            return corpusPairs()[Info.param].Name;
                          });
-
-//===----------------------------------------------------------------------===//
-// Merge/decide overlap: throttled workers force the pipeline to show
-//===----------------------------------------------------------------------===//
-
-/// Wraps a session so every query dwells long enough for the merge of the
-/// previous chunk to run entirely inside the epoch. The shared budget
-/// bounds total added latency.
-class ThrottledSession : public smt::SmtSolver::IncrementalSession {
-public:
-  ThrottledSession(std::unique_ptr<IncrementalSession> Inner,
-                   std::atomic<int> *Budget)
-      : Inner(std::move(Inner)), Budget(Budget) {}
-
-  void assertPremise(const smt::BvFormulaRef &F) override {
-    Inner->assertPremise(F);
-  }
-  smt::SatResult checkSatUnderPremises(const smt::BvFormulaRef &Goal,
-                                       smt::Model *M) override {
-    dwell();
-    return Inner->checkSatUnderPremises(Goal, M);
-  }
-  void checkSatBatch(const std::vector<smt::BvFormulaRef> &Goals,
-                     std::vector<smt::SatResult> &Out) override {
-    dwell();
-    Inner->checkSatBatch(Goals, Out);
-  }
-
-private:
-  void dwell() {
-    if (Budget->fetch_add(-1) > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-  }
-  std::unique_ptr<IncrementalSession> Inner;
-  std::atomic<int> *Budget;
-};
-
-/// A bit-blaster whose *workers* are slow: the primary (merge-side)
-/// sessions run at full speed, so any overlap the counters report really
-/// is merge work racing decide work, not a throttled merge.
-class SlowWorkerSolver : public smt::BitBlastSolver {
-public:
-  explicit SlowWorkerSolver(std::atomic<int> *Budget, bool Throttled = false)
-      : Budget(Budget), Throttled(Throttled) {}
-
-  std::unique_ptr<IncrementalSession>
-  openSession(const smt::SessionLimits &Limits) override {
-    auto Inner = smt::BitBlastSolver::openSession(Limits);
-    if (!Throttled)
-      return Inner;
-    return std::make_unique<ThrottledSession>(std::move(Inner), Budget);
-  }
-  using smt::SmtSolver::openSession;
-
-  std::unique_ptr<smt::SmtSolver> spawnWorker() override {
-    return std::make_unique<SlowWorkerSolver>(Budget, /*Throttled=*/true);
-  }
-
-private:
-  std::atomic<int> *Budget;
-  bool Throttled;
-};
-
-TEST(PipelineOverlap, MergeRunsWhileNextChunkDecides) {
-  std::vector<parsers::CaseStudy> Studies = parsers::allCaseStudies();
-  const parsers::CaseStudy &Study = Studies[3]; // Speculative loop.
-
-  smt::BitBlastSolver Plain;
-  RunConfig Seq;
-  CheckResult Baseline = runStudy(Study, Plain, Seq);
-
-  // Pipelined: chunk size 1 maximizes chunk count, the 500µs dwell keeps
-  // every next-chunk epoch in flight across the previous chunk's merge,
-  // and the overlap counter must see it.
-  uint64_t Overlap0 =
-      obs::metrics().snapshot().counter("parallel.overlap_micros");
-  uint64_t Epochs0 = obs::metrics().snapshot().counter("parallel.epochs");
-  std::atomic<int> Budget{2000};
-  {
-    SlowWorkerSolver S(&Budget);
-    RunConfig C;
-    C.Jobs = 2;
-    C.Chunk = 1;
-    CheckResult Res = runStudy(Study, S, C);
-    expectIdenticalDecisions(Study.Name, Baseline, Res);
-  }
-  uint64_t Overlap1 =
-      obs::metrics().snapshot().counter("parallel.overlap_micros");
-  uint64_t Epochs1 = obs::metrics().snapshot().counter("parallel.epochs");
-  EXPECT_GT(Epochs1, Epochs0) << "pipelined run posted no epochs";
-  EXPECT_GT(Overlap1, Overlap0)
-      << "merge and decide never overlapped under a throttled worker — "
-         "the skip-ahead launch is not happening";
-
-  // Barrier mode on the same workload: merge time is pure stall, the
-  // overlap counter must not move (the pin that barrier accounting stays
-  // honest rather than flattering).
-  uint64_t Stall0 =
-      obs::metrics().snapshot().counter("parallel.merge_stall_micros");
-  Budget.store(2000);
-  {
-    SlowWorkerSolver S(&Budget);
-    RunConfig C;
-    C.Jobs = 2;
-    C.Chunk = 1;
-    C.Pipeline = false;
-    CheckResult Res = runStudy(Study, S, C);
-    expectIdenticalDecisions(Study.Name, Baseline, Res);
-  }
-  uint64_t Overlap2 =
-      obs::metrics().snapshot().counter("parallel.overlap_micros");
-  uint64_t Stall1 =
-      obs::metrics().snapshot().counter("parallel.merge_stall_micros");
-  EXPECT_EQ(Overlap2, Overlap1)
-      << "barrier mode credited itself with overlap";
-  EXPECT_GE(Stall1, Stall0);
-}
 
 //===----------------------------------------------------------------------===//
 // Batching: identical decisions, strictly fewer physical round-trips
@@ -559,7 +429,6 @@ TEST(ScheduleFuzz, PerturbedSchedulesMatchSequential) {
     RunConfig C;
     C.MaxIterations = Cap;
     C.Jobs = 1 + R.below(4);        // 1..4 (1 exercises window batching).
-    C.Pipeline = R.below(2) == 0;   // Pipelined and barrier alike.
     C.Chunk = 1 + R.below(40);      // Adversarial epoch boundaries.
     C.GoalBatch = 1 + R.below(8);   // 1..8 goals per shared round-trip.
     // Every fourth schedule also swaps in a portfolio backend — racing
@@ -574,7 +443,6 @@ TEST(ScheduleFuzz, PerturbedSchedulesMatchSequential) {
     }
     SCOPED_TRACE("iter " + std::to_string(I) + ": " + Study.Name +
                  " jobs=" + std::to_string(C.Jobs) +
-                 " pipeline=" + std::to_string(C.Pipeline) +
                  " chunk=" + std::to_string(C.Chunk) +
                  " goal-batch=" + std::to_string(C.GoalBatch) +
                  (Backend.empty() ? "" : " backend=" + Backend));

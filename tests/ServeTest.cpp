@@ -791,6 +791,8 @@ const CorpusPair CorpusPairs[] = {
     {"tunnel vs bug", "tunnel.lfp", "tunnel_bug.lfp", false},
     {"quic_varint vs opt", "quic_varint.lfp", "quic_varint_opt.lfp", false},
     {"quic_varint vs bug", "quic_varint.lfp", "quic_varint_bug.lfp", false},
+    {"tlv_fanin vs opt", "tlv_fanin.lfp", "tlv_fanin_opt.lfp", false},
+    {"tlv_fanin vs bug", "tlv_fanin.lfp", "tlv_fanin_bug.lfp", false},
 };
 
 TEST(CorpusSweep, EveryPairHitsWarmWithIdenticalResults) {

@@ -73,24 +73,20 @@ void usage() {
       "  --no-reach         disable template reachability pruning (§5.1)\n"
       "  --replay           re-validate the equivalence certificate after\n"
       "                     the search (independent of the search code)\n"
-      "  --jobs N           worker threads for the parallel frontier\n"
-      "                     engine (default 1 = the sequential loop).\n"
+      "  --jobs N           worker threads that decide each frontier\n"
+      "                     window in parallel (default 1 = no workers;\n"
+      "                     every query goes to the one solver).\n"
       "                     Verdict, certificate and search trace are\n"
       "                     identical for every N; only wall-clock\n"
       "                     changes. Each worker gets its own solver\n"
       "                     and session set (for external backends, its\n"
       "                     own solver process)\n"
-      "  --no-pipeline      disable the skip-ahead merge: with --jobs,\n"
-      "                     the next chunk's parallel decide normally\n"
-      "                     overlaps the current chunk's sequential\n"
-      "                     merge; this restores the strict barrier.\n"
-      "                     Decisions are identical either way\n"
       "  --goal-batch N     share one solver round-trip across up to N\n"
       "                     same-guard entailment goals (default 1 =\n"
       "                     one query per goal). Answers are identical;\n"
       "                     only the round-trip count drops — see the\n"
       "                     round_trips stat and docs/SOLVERS.md\n"
-      "  --chunk N          conjuncts decided per epoch (default auto:\n"
+      "  --chunk N          frontier conjuncts per window (default auto:\n"
       "                     max(32, jobs*8)); exposed for scheduling\n"
       "                     experiments, decisions do not depend on it\n"
       "\n"
@@ -331,8 +327,6 @@ int main(int Argc, char **Argv) {
       EngineCfg.Jobs = size_t(std::strtoull(Argv[++I], nullptr, 10));
       if (EngineCfg.Jobs < 1)
         EngineCfg.Jobs = 1;
-    } else if (!std::strcmp(Arg, "--no-pipeline")) {
-      Options.Pipeline = false;
     } else if (!std::strcmp(Arg, "--goal-batch") && I + 1 < Argc) {
       Options.GoalBatch = size_t(std::strtoull(Argv[++I], nullptr, 10));
       if (Options.GoalBatch < 1)

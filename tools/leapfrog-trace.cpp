@@ -226,48 +226,28 @@ int main(int Argc, char **Argv) {
                 (unsigned long long)SolveMicros.back());
   }
 
-  // Pipelining effectiveness (parallel engine traces only). The two
-  // scheduling modes leave distinct span signatures:
-  //
-  //   pipelined (default) — epoch.wait (merge thread blocked on the
-  //     in-flight decide) + epoch.merge (sequential replay, running
-  //     while the *next* chunk's decide is already in flight);
-  //   barrier (--no-pipeline) — epoch.parallel (launch + full wait)
-  //     + epoch.merge (workers idle throughout).
-  //
-  // On the merge thread's critical path only waits and merges appear,
-  // so merge/(merge+wait) is exactly the share of that path during
-  // which worker decide could proceed concurrently — the number that
-  // makes a merge-dominated (stall-bound) run visible from the trace
-  // file alone. In barrier mode no merge overlaps anything; the
-  // exposed merge total is printed as-is for comparison.
+  // The merge's share of wall (parallel traces only): epoch.merge is the
+  // in-order replay of each window on the checking thread, with every
+  // worker idle, so its share of check.run is the part of the run that
+  // more workers cannot shorten. epoch.parallel is the decide phase the
+  // workers do run concurrently.
   auto Total = [&](const char *Name) -> const SpanAgg * {
     auto It = ByName.find(Name);
     return It == ByName.end() ? nullptr : &It->second;
   };
+  const SpanAgg *Run = Total("check.run");
   const SpanAgg *Decide = Total("epoch.parallel");
   const SpanAgg *Merge = Total("epoch.merge");
-  const SpanAgg *Wait = Total("epoch.wait");
-  if (Merge && (Decide || Wait)) {
-    const uint64_t MergeUs = Merge->TotalMicros;
-    std::printf("\npipelining (parallel engine):\n");
-    if (Wait) {
-      const uint64_t WaitUs = Wait->TotalMicros;
-      std::printf("  pipelined: %llu epochs, decide-wait %.3f ms, "
-                  "merge %.3f ms\n",
-                  (unsigned long long)Wait->Count, double(WaitUs) / 1e3,
-                  double(MergeUs) / 1e3);
-      if (MergeUs + WaitUs > 0)
-        std::printf("  merge overlapped with in-flight decide: %.1f%% of "
-                    "the %.3f ms merge-thread critical path\n",
-                    double(MergeUs) / double(MergeUs + WaitUs) * 100.0,
-                    double(MergeUs + WaitUs) / 1e3);
-    } else {
-      std::printf("  barrier (--no-pipeline): %llu epochs, decide %.3f ms, "
-                  "merge %.3f ms fully exposed (workers idle)\n",
-                  (unsigned long long)Decide->Count,
-                  double(Decide->TotalMicros) / 1e3, double(MergeUs) / 1e3);
-    }
+  if (Run && Merge && Run->TotalMicros > 0) {
+    std::printf("\nparallel engine:\n");
+    std::printf("  %llu windows, decide %.3f ms, merge %.3f ms of %.3f ms "
+                "check.run\n",
+                (unsigned long long)Merge->Count,
+                Decide ? double(Decide->TotalMicros) / 1e3 : 0.0,
+                double(Merge->TotalMicros) / 1e3,
+                double(Run->TotalMicros) / 1e3);
+    std::printf("  merge share of wall: %.1f%%\n",
+                double(Merge->TotalMicros) / double(Run->TotalMicros) * 100.0);
   }
   return 0;
 }
