@@ -99,8 +99,10 @@ void PortfolioSolver::report(Race &R, size_t I, bool Valid) {
     }
     R.Done[I] = 1;
     --R.Remaining;
+    // Notify under the lock: once the last report releases R.M, race()
+    // may return and destroy R, so R must not be touched after that.
+    R.Cv.notify_all();
   }
-  R.Cv.notify_all();
   // Interrupt outside the race mutex: it is non-blocking for every
   // backend (flag store + self-pipe write), but there is no reason to
   // hold the lock other legs' reports need.

@@ -66,8 +66,8 @@ std::string traceKey(const TraceStep &T) {
 }
 
 /// Everything that must be bit-identical across schedules. SmtQueries and
-/// the times are deliberately absent: batching and parallel windows change how
-/// many physical queries answer the same decisions.
+/// the times are deliberately absent: batching and parallel windows
+/// change how many physical queries answer the same decisions.
 void expectIdenticalDecisions(const std::string &Name, const CheckResult &A,
                               const CheckResult &B) {
   EXPECT_EQ(A.V, B.V) << Name << ": " << A.FailureReason << " vs "
